@@ -60,7 +60,7 @@ def test_distributed_poisson_wall_time(benchmark):
     c = (gd.shape[0] + 1) * gd.spacing / 2
     rho = np.exp(-((x - c) ** 2 + (y - c) ** 2 + (z - c) ** 2))
     solver = DistributedPoissonSolver(gd, n_ranks=4, tolerance=1e-4,
-                                      max_sweeps=5000)
+                                      max_cycles=500)
     result = benchmark(solver.solve, rho)
     assert result.converged
 

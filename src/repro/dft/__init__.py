@@ -43,7 +43,11 @@ from repro.dft.orthogonalize import gram_schmidt, lowdin, overlap_matrix
 from repro.dft.density import density_from_states
 from repro.dft.scf import SCFLoop, SCFResult
 from repro.dft.rmm_diis import KineticPreconditioner, RmmDiis, RmmDiisResult
-from repro.dft.distributed import DistributedPoissonSolver, DistributedPoissonResult
+from repro.dft.distributed import (
+    DistributedPoissonResult,
+    DistributedPoissonSolver,
+    PoissonConvergenceError,
+)
 from repro.dft.distributed_scf import DistributedSCF, DistributedSCFResult
 from repro.dft.recovery import RecoveryController
 from repro.dft.xc import lda_energy, lda_potential
@@ -69,6 +73,7 @@ __all__ = [
     "RmmDiisResult",
     "DistributedPoissonSolver",
     "DistributedPoissonResult",
+    "PoissonConvergenceError",
     "DistributedSCF",
     "DistributedSCFResult",
     "FileCheckpointStore",

@@ -10,7 +10,8 @@ introduction describes, executed end to end on the functional plane:
   schedules),
 * orthogonalization and subspace diagonalization reduce band matrices
   with allreduces (the operation that *forces* the shared decomposition),
-* the Hartree potential comes from the distributed Jacobi Poisson solver,
+* the Hartree potential comes from the distributed multigrid Poisson
+  solver (V-cycles smoothed by the distributed stencil),
 * the band update is the same preconditioned residual minimization as the
   sequential :class:`~repro.dft.rmm_diis.RmmDiis` — kinetic
   preconditioner sweeps included, each one a distributed stencil
@@ -57,7 +58,10 @@ from repro.core.schedule import compile_band_schedule
 from repro.core.workspace import Workspace
 from repro.dft.band_ortho import BandRingExecutor, band_axis_sum
 from repro.dft.checkpoint import SCFCheckpoint, regroup_checkpoint
-from repro.dft.distributed import DistributedPoissonSolver
+from repro.dft.distributed import (
+    DistributedPoissonSolver,
+    PoissonConvergenceError,
+)
 from repro.grid.array import LocalGrid, gather, scatter
 from repro.grid.bandgroups import BandGroups
 from repro.grid.decompose import Decomposition
@@ -178,7 +182,7 @@ class DistributedSCF:
             grid,
             self.layout.ranks_per_group,
             tolerance=1e-7,
-            max_sweeps=20000,
+            max_cycles=200,
             approach=approach,
         )
         # the ring-orthogonalization plan all three planes share; the
@@ -389,6 +393,8 @@ class DistributedSCF:
         m_seconds = self.metrics.histogram("scf_iteration_seconds")
         m_residual = self.metrics.gauge("scf_residual")
         m_energy = self.metrics.gauge("scf_band_energy_sum")
+        m_poisson_cycles = self.metrics.histogram("scf_poisson_cycles")
+        m_poisson_failed = self.metrics.counter("scf_poisson_unconverged_total")
         for it in range(start_it + 1, self.max_iterations + 1):
             it_t0 = time.perf_counter()
             v_local = v_ext + v_h + v_xc
@@ -465,10 +471,19 @@ class DistributedSCF:
             # every group solves the identical Poisson problem on its own
             # domain decomposition (redundant but communication-local);
             # identical rho in, deterministic solver, identical v_h out
-            v_h_new = self.poisson._rank_solve(
-                gep, self._rho_blocks_for(domain, rho)
-            )[0].interior
-            v_h = (1 - self.mixing) * v_h + self.mixing * v_h_new
+            hartree = self.poisson.solve_rank(gep, rho)
+            if report:
+                m_poisson_cycles.observe(hartree.sweeps)
+            if not hartree.converged:
+                # the decision is collective: every rank raises here
+                if report:
+                    m_poisson_failed.inc()
+                raise PoissonConvergenceError(
+                    f"Poisson solve in SCF iteration {it} not converged "
+                    f"after {hartree.sweeps} cycles (residual "
+                    f"{hartree.residual_norm:.3e})"
+                )
+            v_h = (1 - self.mixing) * v_h + self.mixing * hartree.potential
             if self.xc == "lda":
                 from repro.dft.xc import lda_potential
 
@@ -548,22 +563,6 @@ class DistributedSCF:
             )
             total += float(ep.allreduce(local_exc)[0]) - e_vxc
         return states, energies, rho, total, it, converged
-
-    def _rho_blocks_for(
-        self, domain: int, rho_interior: np.ndarray
-    ) -> list[LocalGrid]:
-        """The blocks list the Poisson rank-solver expects.
-
-        Its rank function only reads entry ``[domain]``; the other
-        entries are placeholders (each rank builds its own list
-        locally).  Indexing is by domain within the band group — the
-        Poisson solve runs over the group endpoint."""
-        blocks = [
-            LocalGrid(self.decomp, r, self.poisson.halo)
-            for r in range(self.decomp.n_domains)
-        ]
-        blocks[domain].interior[...] = rho_interior
-        return blocks
 
     # -- public API --------------------------------------------------------------
     def run(

@@ -191,9 +191,9 @@ class TestKillResume:
         oracle = aniso_scf(2, store=None, **converged).run()
         assert oracle.converged
         scf = aniso_scf(2, store=MemoryCheckpointStore(), **converged)
-        # ~1370 transport ops per rank per iteration: op 3500 lands
+        # ~172 transport ops per rank per iteration: op 440 lands
         # mid-iteration 3, after checkpoints 1 and 2 committed
-        plan = FaultPlan(seed=0, kill_at={1: 3500})
+        plan = FaultPlan(seed=0, kill_at={1: 440})
         restarts = []
 
         def factory(attempt):

@@ -145,3 +145,53 @@ class TestAgainstSequential:
             tolerance=1e-4, max_iterations=30, eig_tol=1e-8, xc="lda",
         ).run()
         assert dist.total_energy == pytest.approx(seq.total_energy, abs=3e-2)
+
+
+class TestPoissonNonConvergence:
+    def test_unconverged_hartree_solve_raises_typed_error(self):
+        """An unconverged Poisson solve stops the run with a typed, fatal
+        error instead of mixing in a wrong Hartree potential."""
+        from repro.dft.distributed import PoissonConvergenceError
+        from repro.obs.metrics import MetricsRegistry
+        from repro.transport.errors import is_transient
+
+        gd, v = aniso_trap(8, 0.6)
+        registry = MetricsRegistry()
+        scf = DistributedSCF.from_spec(
+            spec(gd, 1, 2, tolerance=0.0, max_iterations=3),
+            v, occupations=[2.0], metrics=registry,
+        )
+        scf.poisson.max_cycles = 1
+        with pytest.raises(PoissonConvergenceError) as info:
+            scf.run()
+        assert not is_transient(info.value)
+        assert registry.value("scf_poisson_unconverged_total") == 1
+
+    @pytest.mark.parametrize("n", [15, 30])
+    def test_grids_with_few_coarse_levels_run(self, n):
+        """15^3 cannot be coarsened and 30^3 stops at a 15^3 coarsest
+        level; both Hartree solves converge within the SCF's cycle cap
+        (with the coarsest level relaxed by 2 + 2 sweeps, neither did)."""
+        from repro.obs.metrics import MetricsRegistry
+
+        gd, v = aniso_trap(n, 0.6)
+        registry = MetricsRegistry()
+        DistributedSCF.from_spec(
+            spec(gd, 1, 2, tolerance=0.0, max_iterations=2),
+            v, occupations=[2.0], metrics=registry,
+        ).run()
+        assert registry.histogram("scf_poisson_cycles").count == 2
+        assert registry.value("scf_poisson_unconverged_total") == 0
+
+    def test_poisson_cycles_recorded(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        gd, v = aniso_trap(8, 0.6)
+        registry = MetricsRegistry()
+        DistributedSCF.from_spec(
+            spec(gd, 1, 2, tolerance=0.0, max_iterations=3),
+            v, occupations=[2.0], metrics=registry,
+        ).run()
+        hist = registry.histogram("scf_poisson_cycles")
+        assert hist.count == 3
+        assert registry.value("scf_poisson_unconverged_total") == 0

@@ -127,6 +127,38 @@ class TestPoissonMultigrid:
         rho, _ = gaussian_rho_phi(gd, sigma=1.0)
         res = solver.solve(rho)
         assert res.converged
+        # the finest level is the coarsest one, solved exactly
+        assert res.iterations == 1
+
+    @pytest.mark.parametrize("pbc", [(False,) * 3, (True,) * 3,
+                                     (False, True, False)])
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (9, 10, 11), (6, 12, 5)])
+    def test_exact_coarsest_solve(self, shape, pbc):
+        """The coarsest-level solver inverts the Laplacian it is built
+        from (zero-mean on fully periodic grids)."""
+        from repro.dft.poisson import _ExactSolver
+
+        gd = GridDescriptor(shape, pbc=pbc, spacing=0.7)
+        lap = Laplacian(gd)
+        rhs = gd.random(seed=4)
+        if all(pbc):
+            rhs -= rhs.mean()
+        e = _ExactSolver(lap).solve(rhs)
+        np.testing.assert_allclose(lap.apply(e), rhs, atol=1e-12)
+        if all(pbc):
+            assert abs(e.mean()) < 1e-14
+
+    @pytest.mark.parametrize("n", [16, 22, 24, 32])
+    def test_cycle_count_flat_in_grid_size(self, n):
+        """Coarse levels keep the fine grid's zero boundary, so the
+        exactly solved coarsest level does not over-correct: the cycle
+        count stays flat (with a plain zero ghost on every level it grew
+        to 62 at 24^3 and diverged at 32^3)."""
+        gd = GridDescriptor((n, n, n), pbc=(False,) * 3, spacing=0.45)
+        rho, _ = gaussian_rho_phi(gd, sigma=1.0)
+        res = PoissonSolver(gd, tolerance=1e-8).solve(rho)
+        assert res.converged
+        assert res.iterations <= 20
 
     def test_invalid_method(self):
         with pytest.raises(ValueError):
