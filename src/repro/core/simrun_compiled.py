@@ -30,7 +30,7 @@ This module is a drop-in second engine for the same replay:
 Bit-exactness contract
 ----------------------
 
-The compiled engine is **hop-parity exact**: for every heap entry the
+The compiled engine is **hop-parity exact**: for every queue entry the
 reference engine schedules, this engine schedules exactly one entry at
 the same simulated time, in the same scheduling order.  Because the DES
 orders simultaneous entries by scheduling sequence, the whole replay —

@@ -3,13 +3,27 @@
 Execution model
 ---------------
 
-The simulator keeps a heap of ``(time, sequence, fn, args)`` entries.  The
-``sequence`` counter makes the ordering of simultaneous events deterministic
-(FIFO in scheduling order) — essential for reproducible message traces.
-Because the sequence is unique, the heap never compares ``fn``/``args``,
-so entries are plain tuples: no closure allocation per scheduled call.
+Every scheduled call has a place in one ``(time, sequence)`` total order:
+entries fire by time, and simultaneous entries in scheduling order
+(FIFO) — essential for reproducible message traces.  Two queues hold
+that order:
 
-Two layers share that heap:
+* a heap of ``(time, sequence, fn, args)`` tuples for calls *later* than
+  the current time.  The ``sequence`` counter is unique, so the heap never
+  compares ``fn``/``args`` and entries stay plain tuples;
+* a FIFO lane (a ``deque`` of ``(fn, args)``) for calls *at* the current
+  time — :meth:`Simulator.call_soon`, and :meth:`Simulator.call_at` with
+  ``t == now``.  These need no heap push and no sequence number.
+
+The run loop works one timestamp at a time: it pops the heap entries at
+``now``, then drains the lane (callbacks may append to it while it
+drains), then moves the clock to the heap's minimum.  This is exactly the
+``(time, sequence)`` order.  A heap entry at time ``t`` was pushed before
+the clock reached ``t``, so its sequence is lower than that of every lane
+entry at ``t``; and while the clock is at ``t``, nothing new can enter the
+heap at ``t``.  The clock is written once per distinct timestamp.
+
+Two layers share these queues:
 
 * the **callback fast path** — :meth:`Simulator.call_at` /
   :meth:`Simulator.call_soon` schedule a bare ``fn(*args)`` with no event
@@ -22,20 +36,15 @@ Two layers share that heap:
   value when it fires.  If the yielded event failed, the exception is
   thrown into the generator so processes can use ordinary ``try/except``.
 
-Both layers interleave on one ``(time, sequence)`` total order, so a
-callback-layer reimplementation of an event-layer program can reproduce
-its schedule bit-for-bit by issuing the same number of hops.
-
-The run loop pops *batches* of simultaneous entries: the clock is written
-once per distinct timestamp instead of once per event.  Within a batch,
-entries still fire strictly in sequence order, and entries scheduled for
-the current time by a firing callback join the same batch (exactly the
-one-at-a-time behaviour, minus the redundant clock stores and peeks).
+Both layers interleave on the one total order, so a callback-layer
+reimplementation of an event-layer program can reproduce its schedule
+bit-for-bit by issuing the same number of hops.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
 
@@ -267,15 +276,20 @@ class Process(Event):
 
 
 class Simulator:
-    """Event heap + clock.  All simulation state hangs off one instance."""
+    """Event heap + same-time FIFO lane + clock.
+
+    All simulation state hangs off one instance.
+    """
 
     def __init__(self) -> None:
         self._now = 0.0
         self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
+        self._lane: deque[tuple[Callable[..., None], tuple]] = deque()
         self._seq = 0
-        #: heap entries fired so far — one per scheduled callback, whether
-        #: it came from the event layer or the fast path; engine
-        #: equivalence tests assert this matches between engines
+        #: scheduled callbacks fired so far — one per ``call_at`` /
+        #: ``call_soon``, from the heap or the lane, whether it came from
+        #: the event layer or the fast path; engine equivalence tests
+        #: assert this matches between engines
         self.events_processed = 0
 
     @property
@@ -287,23 +301,20 @@ class Simulator:
     def call_at(self, t: float, fn: Callable[..., None], *args: Any) -> None:
         """Schedule ``fn(*args)`` at absolute time ``t`` (fast path).
 
-        One heap tuple, no event object; entries at equal times fire in
-        scheduling order.
+        No event object: a later time is one heap tuple, the current time
+        one lane entry.  Entries at equal times fire in scheduling order.
         """
-        if t < self._now:
+        if t > self._now:
+            self._seq += 1
+            heapq.heappush(self._heap, (t, self._seq, fn, args))
+        elif t == self._now:
+            self._lane.append((fn, args))
+        else:
             raise SimulationError(f"cannot schedule into the past ({t} < {self._now})")
-        self._seq += 1
-        heapq.heappush(self._heap, (t, self._seq, fn, args))
 
     def call_soon(self, fn: Callable[..., None], *args: Any) -> None:
         """Schedule ``fn(*args)`` at the current time (after pending callbacks)."""
-        self._seq += 1
-        heapq.heappush(self._heap, (self._now, self._seq, fn, args))
-
-    # kept as aliases: external components (resources, tests) predate the
-    # public fast-path names
-    _schedule_at = call_at
-    _schedule_call = call_soon
+        self._lane.append((fn, args))
 
     # -- public API --------------------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -327,33 +338,45 @@ class Simulator:
         return Process(self, gen, name=name)
 
     def run(self, until: Optional[float] = None) -> float:
-        """Drain the event heap; returns the final simulation time.
+        """Drain the heap and the lane; returns the final simulation time.
 
         With ``until``, stops once the next event would be strictly later
         than ``until`` and fast-forwards the clock to exactly ``until``.
+        ``until`` may not lie before the current time.
 
-        Simultaneous entries fire as one batch: the clock is stored once
-        per distinct timestamp, and entries a callback schedules for the
-        current time join the running batch (identical order to popping
-        one entry at a time).
+        Each timestamp fires its heap entries, then its lane entries
+        (including those the callbacks add while it drains), before the
+        clock moves on — the ``(time, sequence)`` order, see the module
+        docstring.
         """
+        now = self._now
+        if until is not None and until < now:
+            raise SimulationError(f"cannot run back to {until} (now {now})")
         heap = self._heap
+        lane = self._lane
         pop = heapq.heappop
+        popleft = lane.popleft
         fired = 0
-        while heap:
-            t = heap[0][0]
-            if until is not None and t > until:
+        try:
+            while True:
+                while heap and heap[0][0] == now:
+                    entry = pop(heap)
+                    fired += 1
+                    entry[2](*entry[3])
+                while lane:
+                    fn, args = popleft()
+                    fired += 1
+                    fn(*args)
+                if not heap:
+                    break
+                now = heap[0][0]
+                if until is not None and now > until:
+                    break
+                self._now = now
+            if until is not None:
                 self._now = until
-                self.events_processed += fired
-                return self._now
-            self._now = t
-            while heap and heap[0][0] == t:
-                entry = pop(heap)
-                fired += 1
-                entry[2](*entry[3])
-        if until is not None and until > self._now:
-            self._now = until
-        self.events_processed += fired
+        finally:
+            self.events_processed += fired
         return self._now
 
     def run_process(self, gen: Generator[Event, Any, Any], name: str = "") -> Any:
@@ -367,7 +390,7 @@ class Simulator:
         if not proc.triggered:
             raise SimulationError(
                 f"process {name or gen!r} never finished (deadlock: "
-                "event heap drained while the process still waits)"
+                "event queue drained while the process still waits)"
             )
         if not proc.ok:
             raise proc.value

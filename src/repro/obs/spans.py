@@ -36,7 +36,7 @@ goes through the explicit :attr:`StepSpan.sort_key`.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Optional
 
 __all__ = [
@@ -74,13 +74,15 @@ def step_category(step_kind: str) -> str:
     return "other"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepSpan:
     """One schedule-IR step execution on one plane.
 
     ``seq``/``dim``/``direction`` are ``None`` for compute/barrier steps;
     ``grid_ids`` is empty for steps without a grid batch.  Equality is
     full-field equality, which is what the round-trip tests rely on.
+    Slotted: a paper-scale trace holds ~10^5-10^6 spans, and a per-span
+    ``__dict__`` would dominate its memory.
     """
 
     resource: str  # e.g. "rank3.w1"
@@ -130,6 +132,30 @@ class StepSpan:
         if self.seq is not None:
             out += f" seq{self.seq}"
         return out
+
+
+#: ``__set__`` of each StepSpan slot, in field order: fills a span built
+#: with ``object.__new__`` without the frozen ``__setattr__``
+_SLOT_SETTERS = tuple(
+    getattr(StepSpan, f.name).__set__ for f in fields(StepSpan)
+)
+
+
+def _step_template(step) -> tuple:
+    """``(step_kind, grid_ids, seq, dim, direction)`` of one IR step.
+
+    The optional attributes are picked up with ``getattr`` so every step
+    type maps onto the one schema (mirroring ``engine._step_info``).
+    """
+    gid = getattr(step, "grid_id", None)
+    grid_ids = getattr(step, "grid_ids", (gid,) if gid is not None else ())
+    return (
+        type(step).__name__,
+        tuple(grid_ids),
+        getattr(step, "seq", None),
+        getattr(step, "dim", None),
+        getattr(step, "step", None),
+    )
 
 
 class SpanTracer:
@@ -216,27 +242,43 @@ class SpanTracer:
         )
 
     def _materialize(self) -> list[StepSpan]:
-        """Replace raw records with built spans, in place, under the lock."""
+        """Replace raw records with built spans, in place, under the lock.
+
+        Raw rows are built from a per-step template: the step-derived
+        fields are computed once per step object (the compiled DES shares
+        one step across every rank with the same plan signature), and the
+        span's slots are filled directly, skipping the frozen
+        ``__setattr__`` and ``__post_init__`` — every raw row was already
+        checked for ``end >= start`` when it was recorded.
+        """
         entries = self._entries
+        plane = self.plane
+        # keyed by id(): every step is referenced from ``entries`` when the
+        # loop starts, so distinct steps have distinct ids throughout
+        templates: dict[int, tuple] = {}
+        new = object.__new__
+        (set_resource, set_kind, set_start, set_end, set_plane, set_worker,
+         set_grid_ids, set_seq, set_dim, set_direction) = _SLOT_SETTERS
         for i, e in enumerate(entries):
-            if type(e) is tuple:
-                resource, step, worker, start, end = e
-                gid = getattr(step, "grid_id", None)
-                grid_ids = getattr(
-                    step, "grid_ids", (gid,) if gid is not None else ()
-                )
-                entries[i] = StepSpan(
-                    resource=resource,
-                    step_kind=type(step).__name__,
-                    start=start,
-                    end=end,
-                    plane=self.plane,
-                    worker=worker,
-                    grid_ids=tuple(grid_ids),
-                    seq=getattr(step, "seq", None),
-                    dim=getattr(step, "dim", None),
-                    direction=getattr(step, "step", None),
-                )
+            if type(e) is not tuple:
+                continue
+            resource, step, worker, start, end = e
+            tpl = templates.get(id(step))
+            if tpl is None:
+                tpl = templates[id(step)] = _step_template(step)
+            kind, grid_ids, seq, dim, direction = tpl
+            span = new(StepSpan)
+            set_resource(span, resource)
+            set_kind(span, kind)
+            set_start(span, start)
+            set_end(span, end)
+            set_plane(span, plane)
+            set_worker(span, worker)
+            set_grid_ids(span, grid_ids)
+            set_seq(span, seq)
+            set_dim(span, dim)
+            set_direction(span, direction)
+            entries[i] = span
         return list(entries)
 
     def drain(self) -> list[StepSpan]:

@@ -1,5 +1,7 @@
 """Tests for the discrete-event kernel (repro.des.core)."""
 
+import heapq
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -91,6 +93,21 @@ def test_run_until_past_last_event_fast_forwards():
     sim = Simulator()
     assert sim.run(until=42.0) == 42.0
     assert sim.now == 42.0
+
+
+def test_run_until_before_now_rejected():
+    sim = Simulator()
+    sim.run(until=5.0)
+    with pytest.raises(SimulationError):
+        sim.run(until=4.0)
+    assert sim.now == 5.0
+
+
+def test_call_at_into_the_past_rejected():
+    sim = Simulator()
+    sim.run(until=1.0)
+    with pytest.raises(SimulationError):
+        sim.call_at(0.5, lambda: None)
 
 
 def test_event_value_passes_through_yield():
@@ -370,3 +387,92 @@ def test_property_sequential_timeouts_accumulate(pairs):
     sim.run()
     for (a, b), p in zip(pairs, procs):
         assert p.value == pytest.approx(a + b)
+
+
+# -- queue order against a heap-only reference ---------------------------------
+
+
+class _HeapScheduler:
+    """The ``(t, seq)`` order on one heap, with no same-time lane.
+
+    The :class:`Simulator` must fire every program in exactly this order.
+    """
+
+    def __init__(self):
+        self.now = 0.0
+        self.heap = []
+        self.seq = 0
+        self.events_processed = 0
+
+    def call_at(self, t, fn, *args):
+        assert t >= self.now
+        self.seq += 1
+        heapq.heappush(self.heap, (t, self.seq, fn, args))
+
+    def call_soon(self, fn, *args):
+        self.call_at(self.now, fn, *args)
+
+    def run(self, until=None):
+        while self.heap:
+            if until is not None and self.heap[0][0] > until:
+                break
+            t, _, fn, args = heapq.heappop(self.heap)
+            self.now = t
+            self.events_processed += 1
+            fn(*args)
+        if until is not None:
+            self.now = until
+        return self.now
+
+
+#: a scheduled call: (``"at"`` or ``"soon"``, delay for ``call_at``, the
+#: calls its callback schedules when it fires); few distinct delays, zero
+#: among them, so timestamps repeat and ``t == now`` is common
+_CALL = st.recursive(
+    st.tuples(st.sampled_from(["at", "soon"]),
+              st.sampled_from([0.0, 0.5, 1.0, 1.5]), st.just(())),
+    lambda children: st.tuples(
+        st.sampled_from(["at", "soon"]),
+        st.sampled_from([0.0, 0.5, 1.0, 1.5]),
+        st.lists(children, max_size=3).map(tuple),
+    ),
+    max_leaves=24,
+)
+#: segments of (calls scheduled from outside, then ``run(until=now + dt)``,
+#: or a run to completion for ``None``)
+_PROGRAM = st.lists(
+    st.tuples(st.lists(_CALL, max_size=4),
+              st.one_of(st.none(), st.sampled_from([0.0, 0.25, 1.0, 2.5]))),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _execute(sched, program):
+    log = []
+
+    def schedule(call, label):
+        kind, delay, children = call
+        if kind == "soon":
+            sched.call_soon(fire, label, children)
+        else:
+            sched.call_at(sched.now + delay, fire, label, children)
+
+    def fire(label, children):
+        log.append((label, sched.now))
+        for i, child in enumerate(children):
+            schedule(child, label + (i,))
+
+    segments = []
+    for k, (calls, dt) in enumerate(program):
+        for i, call in enumerate(calls):
+            schedule(call, (k, i))
+        until = None if dt is None else sched.now + dt
+        returned = sched.run(until=until)
+        segments.append((len(log), returned, sched.now, sched.events_processed))
+    return log, segments
+
+
+@given(_PROGRAM)
+def test_property_queue_order_matches_heap_reference(program):
+    assert _execute(Simulator(), program) == _execute(_HeapScheduler(), program)

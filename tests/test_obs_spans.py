@@ -1,10 +1,23 @@
 """StepSpan schema, SpanTracer recording, and the engine hook."""
 
 import threading
+import typing
 
 import pytest
 
-from repro.core.schedule import ApplyLocalWraps, PostSend, WaitAll
+from repro.core.schedule import (
+    ApplyLocalWraps,
+    ComputeBoundary,
+    ComputeInterior,
+    GridBarrier,
+    JoinBarrier,
+    PartialGemm,
+    PostRecv,
+    PostSend,
+    RingSendRecv,
+    Step,
+    WaitAll,
+)
 from repro.obs.spans import (
     COMM_STEPS,
     COMPUTE_STEPS,
@@ -133,6 +146,84 @@ class TestSpanTracer:
         tr = SpanTracer()
         tr.record_step("r", ApplyLocalWraps(grid_id=0), 0, 0.0, 1.0)
         assert len(tr) == 1  # raw record counted without building spans
+
+
+#: one instance of every schedule-IR step kind, with the span fields it
+#: must map onto: (grid_ids, seq, dim, direction)
+IR_STEPS = [
+    (PostSend(seq=2, dim=1, step=-1, dst=3, grid_ids=(0, 1), nbytes=64),
+     ((0, 1), 2, 1, -1)),
+    (PostRecv(seq=4, dim=2, step=1, src=5, grid_ids=(2,), nbytes=32),
+     ((2,), 4, 2, 1)),
+    (WaitAll(seq=3, grid_ids=(0, 1)), ((0, 1), 3, None, None)),
+    (ApplyLocalWraps(grid_id=5), ((5,), None, None, None)),
+    (ComputeBoundary(grid_id=6), ((6,), None, None, None)),
+    (ComputeInterior(grid_id=7), ((7,), None, None, None)),
+    (GridBarrier(grid_id=8), ((8,), None, None, None)),
+    (JoinBarrier(worker=1), ((), None, None, None)),
+    (RingSendRecv(seq=1, phase=0, dst_group=1, src_group=2, nbytes=16),
+     ((), 1, None, None)),
+    (PartialGemm(seq=0, phase=1, src_group=0, m=2, n=3, k=4),
+     ((), 0, None, None)),
+]
+
+
+class TestMaterialization:
+    """Spans built from raw rows must be indistinguishable from spans
+    built through the validating constructor."""
+
+    def test_every_ir_step_kind_covered(self):
+        assert {type(st) for st, _ in IR_STEPS} == set(typing.get_args(Step))
+
+    @pytest.mark.parametrize(
+        "step,fields", IR_STEPS, ids=[type(st).__name__ for st, _ in IR_STEPS]
+    )
+    def test_raw_rows_equal_direct_spans(self, step, fields):
+        grid_ids, seq, dim, direction = fields
+        tr = SpanTracer(plane="sim")
+        # one step object under several resources and workers, as the
+        # compiled DES shares one step across every rank of a signature
+        rows = [("rank0.w0", 0, 0.0, 1.0), ("rank0.w1", 1, 0.5, 0.5),
+                ("rank7.w0", 0, 2.0, 3.25), ("rank0.w0", 0, 1.0, 1.5)]
+        for resource, worker, start, end in rows:
+            tr.record_step(resource, step, worker, start, end)
+        tr.extend_steps([("rank9.w2", step, 2, 4.0, 5.0)])
+        rows.append(("rank9.w2", 2, 4.0, 5.0))
+        expected = [
+            StepSpan(resource=resource, step_kind=type(step).__name__,
+                     start=start, end=end, plane="sim", worker=worker,
+                     grid_ids=grid_ids, seq=seq, dim=dim, direction=direction)
+            for resource, worker, start, end in rows
+        ]
+        got = tr.spans()
+        assert got == expected
+        assert [hash(s) for s in got] == [hash(s) for s in expected]
+        assert [s.sort_key for s in got] == [s.sort_key for s in expected]
+        assert all(type(s) is StepSpan for s in got)
+
+    def test_materialized_spans_are_frozen(self):
+        tr = SpanTracer()
+        tr.record_step("r", WaitAll(seq=0, grid_ids=(0,)), 0, 0.0, 1.0)
+        (span,) = tr.spans()
+        with pytest.raises(AttributeError):
+            span.start = 2.0
+
+    def test_extend_steps_rejects_backwards_row(self):
+        tr = SpanTracer()
+        step = WaitAll(seq=0, grid_ids=(0,))
+        with pytest.raises(ValueError):
+            tr.extend_steps([("r", step, 0, 0.0, 1.0),
+                             ("r", step, 0, 2.0, 1.0)])
+        assert len(tr) == 0  # the bad buffer is rejected as a whole
+
+    def test_spans_have_no_instance_dict(self):
+        # slots keep a paper-scale trace (~10^5 spans) small
+        tr = SpanTracer()
+        tr.record_step("r", ApplyLocalWraps(grid_id=0), 0, 0.0, 1.0)
+        direct = StepSpan(resource="r", step_kind="WaitAll", start=0.0,
+                          end=1.0)
+        for span in (tr.spans()[0], direct):
+            assert not hasattr(span, "__dict__")
 
 
 class TestEngineHook:
