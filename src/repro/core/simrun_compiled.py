@@ -41,6 +41,16 @@ asserts exactly that, including under a seeded
 :class:`~repro.transport.faults.FaultPlan`; the reference engine stays
 canonical and this engine must match it, never the other way around.
 
+Step tracing schedules no entries of its own: a worker records a step's
+start and end from the clock as its program passes them.  Within one
+worker chain a step starts the instant the previous one ends, so a
+traced program has one ``OP_T0`` row, at its head, and each ``OP_STEP``
+row also starts the next step.  A step that lowers to no timed row
+(``ApplyLocalWraps``, ``ComputeBoundary``, ``JoinBarrier``) starts and
+ends at that instant, so it rides on the previous step's ``OP_STEP``
+row.  The hot rows read the clock as ``sim._now``, not through the
+:attr:`~repro.des.core.Simulator.now` property.
+
 The per-primitive hop ledger (reference ⟷ compiled):
 
 ===========================  ==============================================
@@ -91,9 +101,12 @@ OP_WAITALL = 3
 OP_TIMEOUT = 4
 #: master-only quarter-block team compute (operands: threads, secs)
 OP_QUARTER = 5
-#: capture the step start time (step tracing only)
+#: capture the worker chain's start time: the first row of a traced
+#: program (step tracing only)
 OP_T0 = 6
-#: record one replayed step (operands: step, worker_index)
+#: record replayed steps ending now (operands: a tuple of ``(step,
+#: worker_index)`` pairs — a step and the untimed steps right after it);
+#: the next step starts when this row ran (step tracing only)
 OP_STEP = 7
 #: advance the fault plan's kill clock (fault replay only)
 OP_FAULT_CLOCK = 8
@@ -202,7 +215,7 @@ class _Transfer:
         if p.same:
             # intra-node memcpy: overhead only, no links, no byte counters
             sim = eng.sim
-            sim.call_at(sim.now + eng.msg_overhead, self._self_fire)
+            sim.call_at(sim._now + eng.msg_overhead, self._self_fire)
         else:
             self._i = 0
             p.links[0].acquire(self._got)
@@ -216,12 +229,12 @@ class _Transfer:
             links[i].acquire(self._got)
         else:
             sim = self.eng.sim
-            self.start = sim.now
+            self.start = sim._now
             dur = p.durs.get(self.nbytes)
             if dur is None:
                 dur = self.eng.torus_spec.message_time(self.nbytes, hops=p.hops)
                 p.durs[self.nbytes] = dur
-            sim.call_at(sim.now + dur, self._fired)
+            sim.call_at(sim._now + dur, self._fired)
 
     def _fired(self) -> None:
         self.eng.sim.call_soon(self._done)
@@ -245,7 +258,7 @@ class _Transfer:
         buf = eng.trace_buf
         if buf is not None:
             start = self.start
-            now = eng.sim.now
+            now = eng.sim._now
             label = p.label
             for name in p.names:
                 buf.append((start, now, name, label))
@@ -338,13 +351,18 @@ class _Worker:
                             rec.group = g
                     return
                 continue
-            if code == OP_T0:
-                self.t0 = sim.now
-                continue
             if code == OP_STEP:
-                eng.step_buf.append(
-                    (self.res[op[2]], op[1], op[2], self.t0, sim.now)
-                )
+                now = sim._now
+                t0 = self.t0
+                res = self.res
+                append = eng.step_buf.append
+                for st, windex in op[1]:
+                    append((res[windex], st, windex, t0, now))
+                    t0 = now
+                self.t0 = now
+                continue
+            if code == OP_T0:
+                self.t0 = sim._now
                 continue
             if code == OP_TIMEOUT:
                 self.pc = pc
@@ -384,7 +402,7 @@ class _Worker:
     def _sleep(self, delay, cont, *args) -> None:
         """``timeout(delay)`` twin: 2 hops, then ``cont(*args)``."""
         sim = self.sim
-        sim.call_at(sim.now + delay, self._fire_then, cont, *args)
+        sim.call_at(sim._now + delay, self._fire_then, cont, *args)
 
     def _overhead(self, cont, *args) -> None:
         """The per-call cost of entering the MPI library."""
@@ -397,7 +415,7 @@ class _Worker:
 
     def _lk_got(self, cont, args) -> None:
         sim = self.sim
-        sim.call_at(sim.now + self.eng.ovh, self._lk_fire, cont, args)
+        sim.call_at(sim._now + self.eng.ovh, self._lk_fire, cont, args)
 
     def _lk_fire(self, cont, args) -> None:
         self.sim.call_soon(self._lk_done, cont, args)
@@ -409,7 +427,7 @@ class _Worker:
     # -- compute -----------------------------------------------------------
     def _c1(self, secs) -> None:
         sim = self.sim
-        sim.call_at(sim.now + secs, self._c2, secs, sim.now)
+        sim.call_at(sim._now + secs, self._c2, secs, sim._now)
 
     def _c2(self, secs, start) -> None:
         self.sim.call_soon(self._c3, secs, start)
@@ -418,7 +436,7 @@ class _Worker:
         self.busy[self.core] += secs
         buf = self.eng.trace_buf
         if buf is not None:
-            buf.append((start, self.sim.now, self.cres, "compute"))
+            buf.append((start, self.sim._now, self.cres, "compute"))
         self._advance()
 
     # -- point-to-point ----------------------------------------------------
@@ -470,7 +488,7 @@ class _Worker:
 
     def _q_c1(self, t, secs) -> None:
         sim = self.sim
-        sim.call_at(sim.now + secs, self._q_c2, t, secs, sim.now)
+        sim.call_at(sim._now + secs, self._q_c2, t, secs, sim._now)
 
     def _q_c2(self, t, secs, start) -> None:
         self.sim.call_soon(self._q_c3, t, secs, start)
@@ -480,7 +498,7 @@ class _Worker:
         buf = self.eng.trace_buf
         if buf is not None:
             buf.append(
-                (start, self.sim.now, f"node{self.node}.core{t}", "compute")
+                (start, self.sim._now, f"node{self.node}.core{t}", "compute")
             )
         self.sim.call_soon(self._q_child)
 
@@ -525,20 +543,24 @@ class _TeamRunner:
 
     def __init__(self, sim, spawn_time, join_time) -> None:
         self.sim = sim
-        self.workers: list = []
+        self.workers: Optional[list] = []
         self.left = 0
         self.spawn_time = spawn_time
         self.join_time = join_time
 
     def _start(self) -> None:
         sim = self.sim
-        sim.call_at(sim.now + self.spawn_time, self._s_fire)
+        sim.call_at(sim._now + self.spawn_time, self._s_fire)
 
     def _s_fire(self) -> None:
         self.sim.call_soon(self._go)
 
     def _go(self) -> None:
+        # the scheduled ``_advance`` calls hold the workers from here on;
+        # dropping the list breaks the workers <-> ``on_done`` cycle, so
+        # the replay's state dies by reference count
         ws = self.workers
+        self.workers = None
         if ws:
             self.left = len(ws)
             sim = self.sim
@@ -558,7 +580,7 @@ class _TeamRunner:
 
     def _joined(self) -> None:
         sim = self.sim
-        sim.call_at(sim.now + self.join_time, self._j_fire)
+        sim.call_at(sim._now + self.join_time, self._j_fire)
 
     def _j_fire(self) -> None:
         self.sim.call_soon(self._j_done)
@@ -787,22 +809,27 @@ class _CompiledFDSimulation(_FDSimulation):
             self._compile_worker(wp, send_index, recv_index)
             for wp in rp.workers
         ]
+        head = [(OP_T0,)] if self.step_tracer is not None else []
         if plan.workers_are_ranks or plan.uses_thread_team:
             # only workers with steps are spawned (matching the reference)
             unit.workers = [
-                (wp.index, wp.slot, prog)
+                (wp.index, wp.slot, head + prog)
                 for wp, prog in zip(rp.workers, progs)
                 if wp.steps
             ]
         else:
-            seq: list = []
+            seq: list = head
             for prog in progs:
                 seq.extend(prog)
             unit.seq_prog = seq
         return unit
 
     def _compile_worker(self, wp: WorkerPlan, send_index, recv_index) -> list:
-        """Lower one worker's step list; mirrors ``replay_worker`` exactly."""
+        """Lower one worker's step list; mirrors ``replay_worker`` exactly.
+
+        The rows carry no ``OP_T0``: :meth:`_compile_unit` puts one at the
+        head of each program a worker chain runs.
+        """
         plan = self.plan
         spec = self.spec
         fp = self.fault_plan
@@ -813,8 +840,7 @@ class _CompiledFDSimulation(_FDSimulation):
         rounds = wp.rounds
         next_round = 0
         for st in wp.steps:
-            if with_steps:
-                prog.append((OP_T0,))
+            n_rows = len(prog)
             if (
                 not plan.blocking
                 and t_call
@@ -858,7 +884,11 @@ class _CompiledFDSimulation(_FDSimulation):
                 prog.append((OP_TIMEOUT, spec.threads.barrier_time))
             # ApplyLocalWraps / ComputeBoundary / JoinBarrier: no timed action
             if with_steps:
-                prog.append((OP_STEP, st, wp.index))
+                if len(prog) == n_rows and prog and prog[-1][0] == OP_STEP:
+                    # no timed row: ends when the step before it ends
+                    prog[-1] = (OP_STEP, prog[-1][1] + ((st, wp.index),))
+                else:
+                    prog.append((OP_STEP, ((st, wp.index),)))
         return prog
 
 

@@ -1,5 +1,6 @@
 """Tests for the discrete-event kernel (repro.des.core)."""
 
+import gc
 import heapq
 
 import pytest
@@ -476,3 +477,70 @@ def _execute(sched, program):
 @given(_PROGRAM)
 def test_property_queue_order_matches_heap_reference(program):
     assert _execute(Simulator(), program) == _execute(_HeapScheduler(), program)
+
+
+class TestGarbageCollectorPause:
+    """``run`` pauses the cyclic collector only for as long as it loops."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_gc(self):
+        was_enabled = gc.isenabled()
+        gc.enable()
+        yield
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def test_off_inside_callbacks_on_after(self):
+        sim = Simulator()
+        seen = []
+        sim.call_soon(lambda: seen.append(gc.isenabled()))
+        sim.call_at(1.0, lambda: seen.append(gc.isenabled()))
+        sim.run()
+        assert seen == [False, False]
+        assert gc.isenabled()
+
+    def test_on_after_each_until_segment(self):
+        sim = Simulator()
+        seen = []
+        for t in (1.0, 2.0, 3.0):
+            sim.call_at(t, lambda: seen.append(gc.isenabled()))
+        for until in (1.5, 2.5, None):
+            sim.run(until=until)
+            assert gc.isenabled()
+        assert seen == [False, False, False]
+
+    def test_on_after_a_callback_raises(self):
+        sim = Simulator()
+
+        def boom():
+            raise ValueError("boom")
+
+        sim.call_soon(boom)
+        with pytest.raises(ValueError):
+            sim.run()
+        assert gc.isenabled()
+
+    def test_caller_disabled_stays_disabled(self):
+        gc.disable()
+        sim = Simulator()
+        seen = []
+        sim.call_soon(lambda: seen.append(gc.isenabled()))
+        sim.run()
+        assert seen == [False]
+        assert not gc.isenabled()
+
+    def test_nested_run_leaves_outer_pause_alone(self):
+        outer, inner = Simulator(), Simulator()
+        seen = []
+        inner.call_soon(lambda: seen.append(gc.isenabled()))
+
+        def nest():
+            inner.run()
+            seen.append(gc.isenabled())
+
+        outer.call_soon(nest)
+        outer.run()
+        assert seen == [False, False]
+        assert gc.isenabled()

@@ -11,6 +11,8 @@ labels, tie order) and the full step trace, including under a seeded
 :class:`~repro.transport.faults.FaultPlan` with every fault kind armed.
 """
 
+import gc
+
 import pytest
 
 from repro.core import (
@@ -164,3 +166,36 @@ class TestEngineEquivalenceUnderFaults:
         plan = FaultPlan(seed=4, kill_at={1: 3}, restart_time=1e-3)
         ref, cmp = _run_both(HYBRID_MASTER_ONLY, 16, 2, fault_plan=plan)
         _assert_identical(ref, cmp)
+
+
+class TestReplayLeavesNoCyclicGarbage:
+    """``Simulator.run`` pauses the cyclic collector (see
+    :mod:`repro.des.core`); that is free only while every replay object
+    dies by reference count.  Each case replays on both engines with the
+    collector off, then demands that a full collection finds nothing."""
+
+    CASES = [(a, c, b, r, None) for a, c, b, r in CONFIGS] + [
+        (HYBRID_MULTIPLE, 32, 2, False, TestEngineEquivalenceUnderFaults.FAULTY),
+        (HYBRID_MASTER_ONLY, 16, 2, False,
+         FaultPlan(seed=4, kill_at={1: 3}, restart_time=1e-3)),
+    ]
+
+    @pytest.mark.parametrize(
+        "approach,n_cores,batch_size,ramp_up,fault_plan",
+        CASES,
+        ids=[
+            f"{a.name}-{c}c-b{b}{'-ramp' if r else ''}{'-faults' if f else ''}"
+            for a, c, b, r, f in CASES
+        ],
+    )
+    def test_no_cycles(self, approach, n_cores, batch_size, ramp_up, fault_plan):
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            _run_both(approach, n_cores, batch_size, ramp_up,
+                      fault_plan=fault_plan)
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
